@@ -8,7 +8,7 @@
 package pnode
 
 import (
-	"fmt"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -24,7 +24,14 @@ const Invalid PNode = 0
 func (p PNode) IsValid() bool { return p != Invalid }
 
 // String formats the pnode as the paper's tools print it, e.g. "pn:42".
-func (p PNode) String() string { return fmt.Sprintf("pn:%d", uint64(p)) }
+func (p PNode) String() string {
+	var b [len("pn:18446744073709551615")]byte
+	return string(p.appendTo(b[:0]))
+}
+
+func (p PNode) appendTo(b []byte) []byte {
+	return strconv.AppendUint(append(b, "pn:"...), uint64(p), 10)
+}
 
 // Version numbers an object's state. Versions start at 1 when the object
 // is created and increase by one on every freeze. Version 0 means
@@ -32,7 +39,14 @@ func (p PNode) String() string { return fmt.Sprintf("pn:%d", uint64(p)) }
 type Version uint32
 
 // String formats the version, e.g. "v3".
-func (v Version) String() string { return fmt.Sprintf("v%d", uint32(v)) }
+func (v Version) String() string {
+	var b [len("v4294967295")]byte
+	return string(v.appendTo(b[:0]))
+}
+
+func (v Version) appendTo(b []byte) []byte {
+	return strconv.AppendUint(append(b, 'v'), uint64(v), 10)
+}
 
 // Ref identifies one version of one object: the (pnode, version) pair
 // returned by pass_read and embedded in cross-reference provenance records.
@@ -45,7 +59,16 @@ type Ref struct {
 func (r Ref) IsValid() bool { return r.PNode.IsValid() }
 
 // String formats the reference, e.g. "pn:42@v3".
-func (r Ref) String() string { return fmt.Sprintf("%s@%s", r.PNode, r.Version) }
+func (r Ref) String() string {
+	var b [len("pn:18446744073709551615@v4294967295")]byte
+	return string(r.AppendTo(b[:0]))
+}
+
+// AppendTo appends the String form of r to b and returns the result; the
+// PQL executor renders result rows through it into one reused buffer.
+func (r Ref) AppendTo(b []byte) []byte {
+	return r.Version.appendTo(append(r.PNode.appendTo(b), '@'))
+}
 
 // Less orders references by pnode then version, for deterministic output.
 func (r Ref) Less(o Ref) bool {

@@ -1,6 +1,7 @@
 package pnode
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -98,16 +99,28 @@ func TestPrefixedAllocatorsDisjoint(t *testing.T) {
 	}
 }
 
+// TestStringFormats pins the printed forms byte for byte, including the
+// extremes of each width; PQL result order is the byte order of these
+// strings, so a format change reorders query results.
 func TestStringFormats(t *testing.T) {
-	if got := PNode(42).String(); got != "pn:42" {
-		t.Errorf("PNode.String = %q", got)
-	}
-	if got := Version(3).String(); got != "v3" {
-		t.Errorf("Version.String = %q", got)
-	}
-	r := Ref{PNode: 42, Version: 3}
-	if got := r.String(); got != "pn:42@v3" {
-		t.Errorf("Ref.String = %q", got)
+	for _, c := range []struct{ got, want string }{
+		{PNode(42).String(), "pn:42"},
+		{PNode(0).String(), "pn:0"},
+		{PNode(1).String(), "pn:1"},
+		{PNode(math.MaxUint64).String(), "pn:18446744073709551615"},
+		{Version(3).String(), "v3"},
+		{Version(0).String(), "v0"},
+		{Version(1).String(), "v1"},
+		{Version(math.MaxUint32).String(), "v4294967295"},
+		{Ref{PNode: 42, Version: 3}.String(), "pn:42@v3"},
+		{Ref{}.String(), "pn:0@v0"},
+		{Ref{PNode: 1, Version: 1}.String(), "pn:1@v1"},
+		{Ref{PNode: math.MaxUint64, Version: math.MaxUint32}.String(), "pn:18446744073709551615@v4294967295"},
+		{string(Ref{PNode: 7, Version: 10}.AppendTo([]byte("x\x00"))), "x\x00pn:7@v10"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got %q, want %q", c.got, c.want)
+		}
 	}
 }
 

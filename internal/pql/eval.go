@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 
 	"passv2/internal/graph"
@@ -34,20 +35,29 @@ type Value struct {
 
 // String renders the value the way the query shell prints it.
 func (v Value) String() string {
+	var b [64]byte
+	return string(v.appendTo(b[:0]))
+}
+
+// appendTo appends the String form of v to b and returns the result. It is
+// the one definition of a cell's text: projection deduplicates and orders
+// rows by it.
+func (v Value) appendTo(b []byte) []byte {
 	switch v.Kind {
 	case ValRef:
 		if v.Name != "" {
-			return fmt.Sprintf("%s (%s)", v.Name, v.Ref)
+			b = append(append(b, v.Name...), " ("...)
+			return append(v.Ref.AppendTo(b), ')')
 		}
-		return v.Ref.String()
+		return v.Ref.AppendTo(b)
 	case ValString:
-		return v.Str
+		return append(b, v.Str...)
 	case ValInt:
-		return fmt.Sprintf("%d", v.Int)
+		return strconv.AppendInt(b, v.Int, 10)
 	case ValBool:
-		return fmt.Sprintf("%t", v.Bool)
+		return strconv.AppendBool(b, v.Bool)
 	default:
-		return "null"
+		return append(b, "null"...)
 	}
 }
 
@@ -84,24 +94,30 @@ type tuple map[string]pnode.Ref
 // planner equivalence suite and the BenchmarkPQLQuery baseline.
 func EvalNaive(g *graph.Graph, q *Query) (*Result, error) {
 	ev := &evaluator{g: g}
-	tuples, err := ev.bind(q.Bindings)
+	tuples, err := ev.naiveTuples(q)
 	if err != nil {
 		return nil, err
 	}
-	if q.Where != nil {
-		var kept []tuple
-		for _, tu := range tuples {
-			ok, err := ev.evalBool(q.Where, tu)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, tu)
-			}
-		}
-		tuples = kept
-	}
 	return ev.project(q.Select, tuples)
+}
+
+// naiveTuples is the FROM cross-product filtered by the WHERE clause.
+func (ev *evaluator) naiveTuples(q *Query) ([]tuple, error) {
+	tuples, err := ev.bind(q.Bindings)
+	if err != nil || q.Where == nil {
+		return tuples, err
+	}
+	var kept []tuple
+	for _, tu := range tuples {
+		ok, err := ev.evalBool(q.Where, tu)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, tu)
+		}
+	}
+	return kept, nil
 }
 
 // bind produces the tuple set of the FROM clause.
@@ -476,6 +492,10 @@ func order(l, r Value) (int, error) {
 
 // --- projection ---
 
+// project evaluates the select list over tuples. A row's key is its cells'
+// String forms joined by NUL; rows are distinct by key and sorted by the
+// key's byte order. Each row is rendered once, into one reused buffer, and
+// its key serves both the dedup and the sort.
 func (ev *evaluator) project(items []SelectItem, tuples []tuple) (*Result, error) {
 	res := &Result{}
 	aggregate := false
@@ -485,6 +505,7 @@ func (ev *evaluator) project(items []SelectItem, tuples []tuple) (*Result, error
 		}
 		res.Columns = append(res.Columns, columnName(it))
 	}
+	var buf []byte
 	if aggregate {
 		row := make([]Value, len(items))
 		for i, it := range items {
@@ -492,14 +513,18 @@ func (ev *evaluator) project(items []SelectItem, tuples []tuple) (*Result, error
 			if !ok {
 				return nil, fmt.Errorf("pql: cannot mix aggregates and plain values in select")
 			}
-			distinct := make(map[string]bool)
+			distinct := make(map[string]struct{})
 			for _, tu := range tuples {
 				v, err := ev.eval(c.E, tu)
 				if err != nil {
 					return nil, err
 				}
-				if v.Kind != ValNull {
-					distinct[v.String()] = true
+				if v.Kind == ValNull {
+					continue
+				}
+				buf = v.appendTo(buf[:0])
+				if _, ok := distinct[string(buf)]; !ok {
+					distinct[string(buf)] = struct{}{}
 				}
 			}
 			row[i] = Value{Kind: ValInt, Int: int64(len(distinct))}
@@ -507,26 +532,45 @@ func (ev *evaluator) project(items []SelectItem, tuples []tuple) (*Result, error
 		res.Rows = append(res.Rows, row)
 		return res, nil
 	}
-	seen := make(map[string]bool)
+	seen := make(map[string]struct{})
+	var keys []string
+	row := make([]Value, len(items))
 	for _, tu := range tuples {
-		row := make([]Value, len(items))
+		buf = buf[:0]
 		for i, it := range items {
 			v, err := ev.eval(it.Expr, tu)
 			if err != nil {
 				return nil, err
 			}
+			if i > 0 {
+				buf = append(buf, 0)
+			}
+			buf = v.appendTo(buf)
 			row[i] = v
 		}
-		key := renderRow(row)
-		if !seen[key] {
-			seen[key] = true
-			res.Rows = append(res.Rows, row)
+		if _, ok := seen[string(buf)]; ok {
+			continue
 		}
+		key := string(buf)
+		seen[key] = struct{}{}
+		keys = append(keys, key)
+		res.Rows = append(res.Rows, append([]Value(nil), row...))
 	}
-	sort.Slice(res.Rows, func(i, j int) bool {
-		return renderRow(res.Rows[i]) < renderRow(res.Rows[j])
-	})
+	sort.Sort(rowsByKey{res.Rows, keys})
 	return res, nil
+}
+
+// rowsByKey sorts result rows by their rendered keys, moving both together.
+type rowsByKey struct {
+	rows [][]Value
+	keys []string
+}
+
+func (s rowsByKey) Len() int           { return len(s.keys) }
+func (s rowsByKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
+func (s rowsByKey) Swap(i, j int) {
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 func columnName(it SelectItem) string {
@@ -543,14 +587,6 @@ func columnName(it SelectItem) string {
 	default:
 		return "expr"
 	}
-}
-
-func renderRow(row []Value) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		parts[i] = v.String()
-	}
-	return strings.Join(parts, "\x00")
 }
 
 // Format renders a result as an aligned text table (the query shell uses
