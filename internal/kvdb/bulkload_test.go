@@ -9,31 +9,38 @@ import (
 
 // checkInvariants verifies the full B-tree contract: uniform leaf depth,
 // node occupancy within [minKeys, maxKeys] (root exempt from the minimum),
-// sorted keys, separator ordering and parallel keys/vals/children lengths.
-// It returns the total key count. A freshly bulk-loaded tree satisfies the
-// tight (degree, 2*degree) bounds; a mutated tree satisfies the operational
-// (degree-1, 2*degree+1) bounds — splits leave a right sibling one short,
-// and delete's merge can run a node one over until the next insert splits
-// it.
+// sorted keys, separator ordering, three arena offsets per pair and one
+// more child than keys. It returns the total key count. A freshly
+// bulk-loaded tree satisfies the tight (degree, 2*degree) bounds; a
+// mutated tree satisfies the operational (degree-1, 2*degree+1) bounds —
+// splits leave a right sibling one short, and delete's merge can run a
+// node one over until the next insert splits it.
 func checkInvariants(t *testing.T, db *DB, minKeys, maxKeys int) int {
 	t.Helper()
 	leafDepth := -1
 	count := 0
 	var walk func(n *node, depth int, lo, hi string, hasLo, hasHi bool)
 	walk = func(n *node, depth int, lo, hi string, hasLo, hasHi bool) {
-		if len(n.vals) != len(n.keys) {
-			t.Fatalf("node at depth %d: %d keys but %d vals", depth, len(n.keys), len(n.vals))
+		if len(n.offs)%3 != 0 {
+			t.Fatalf("node at depth %d: %d arena offsets, not three per pair", depth, len(n.offs))
 		}
-		if depth > 0 && len(n.keys) < minKeys {
-			t.Fatalf("non-root node at depth %d has %d keys, want >= %d", depth, len(n.keys), minKeys)
+		for i := 0; i < len(n.offs); i += 3 {
+			if s, k, e := n.offs[i], n.offs[i+1], n.offs[i+2]; s > k || k > e || int(e) > len(n.arena) {
+				t.Fatalf("node at depth %d: pair offsets %d/%d/%d outside its %d-byte arena", depth, s, k, e, len(n.arena))
+			}
 		}
-		if len(n.keys) > maxKeys {
-			t.Fatalf("node at depth %d has %d keys, want <= %d", depth, len(n.keys), maxKeys)
+		size := n.size()
+		if depth > 0 && size < minKeys {
+			t.Fatalf("non-root node at depth %d has %d keys, want >= %d", depth, size, minKeys)
 		}
-		count += len(n.keys)
-		for i, k := range n.keys {
-			if i > 0 && n.keys[i-1] >= k {
-				t.Fatalf("unsorted keys at depth %d: %q >= %q", depth, n.keys[i-1], k)
+		if size > maxKeys {
+			t.Fatalf("node at depth %d has %d keys, want <= %d", depth, size, maxKeys)
+		}
+		count += size
+		for i := 0; i < size; i++ {
+			k := n.key(i)
+			if i > 0 && n.key(i-1) >= k {
+				t.Fatalf("unsorted keys at depth %d: %q >= %q", depth, n.key(i-1), k)
 			}
 			if hasLo && k <= lo {
 				t.Fatalf("key %q at depth %d violates lower separator %q", k, depth, lo)
@@ -50,17 +57,17 @@ func checkInvariants(t *testing.T, db *DB, minKeys, maxKeys int) int {
 			}
 			return
 		}
-		if len(n.children) != len(n.keys)+1 {
-			t.Fatalf("node at depth %d: %d keys but %d children", depth, len(n.keys), len(n.children))
+		if len(n.children) != size+1 {
+			t.Fatalf("node at depth %d: %d keys but %d children", depth, size, len(n.children))
 		}
 		for i, c := range n.children {
 			clo, chasLo := lo, hasLo
 			chi, chasHi := hi, hasHi
 			if i > 0 {
-				clo, chasLo = n.keys[i-1], true
+				clo, chasLo = n.key(i-1), true
 			}
-			if i < len(n.keys) {
-				chi, chasHi = n.keys[i], true
+			if i < size {
+				chi, chasHi = n.key(i), true
 			}
 			walk(c, depth+1, clo, chi, chasLo, chasHi)
 		}

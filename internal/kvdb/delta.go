@@ -225,15 +225,15 @@ func (it *deltaIter) peek() (isPair bool, k string, v []byte, sub *node, ok bool
 		f := &it.stack[len(it.stack)-1]
 		n := f.n
 		if n.leaf() {
-			if f.pos < len(n.keys) {
-				return true, n.keys[f.pos], n.vals[f.pos], nil, true
+			if f.pos < n.size() {
+				return true, n.key(f.pos), n.val(f.pos), nil, true
 			}
-		} else if f.pos <= 2*len(n.keys) {
+		} else if f.pos <= 2*n.size() {
 			if f.pos%2 == 0 {
 				return false, "", nil, n.children[f.pos/2], true
 			}
 			i := (f.pos - 1) / 2
-			return true, n.keys[i], n.vals[i], nil, true
+			return true, n.key(i), n.val(i), nil, true
 		}
 		it.stack = it.stack[:len(it.stack)-1]
 	}
@@ -259,7 +259,7 @@ func subtreeMin(n *node) string {
 	for !n.leaf() {
 		n = n.children[0]
 	}
-	return n.keys[0]
+	return n.key(0)
 }
 
 // ApplyDelta reads a delta stream written by SaveDelta and applies it to
@@ -274,11 +274,42 @@ func ApplyDelta(db *DB, r io.Reader) (DeltaStats, error) {
 	return ApplyDeltaBytes(db, data)
 }
 
-// ApplyDeltaBytes applies a delta image to db, taking ownership of data:
-// applied keys and values alias the buffer rather than copying, exactly as
-// LoadBytes does for full snapshots, so the caller must not modify it
-// afterwards.
+// deltaBatch bounds the run of set ops ApplyDeltaBytes hands SetBatch at
+// once.
+const deltaBatch = 512
+
+// ApplyDeltaBytes applies a delta image to db. The whole image is decoded
+// and checked against its trailer before anything is applied, so a delta
+// that fails to decode leaves db as it was. Ops are then applied in
+// stream order, runs of sets through SetBatch: the stream is in key
+// order, so the batch's cached insertion leaf spares most descents. Keys
+// and values are copied into the store, so data is free again once it
+// returns.
 func ApplyDeltaBytes(db *DB, data []byte) (DeltaStats, error) {
+	st, err := walkDelta(data, nil)
+	if err != nil {
+		return st, err
+	}
+	batch := make([]KV, 0, min(deltaBatch, st.Sets))
+	walkDelta(data, func(key string, val []byte, del bool) {
+		if del || len(batch) == cap(batch) {
+			db.SetBatch(batch)
+			batch = batch[:0]
+		}
+		if del {
+			db.Delete(key)
+		} else {
+			batch = append(batch, KV{Key: key, Val: val})
+		}
+	})
+	db.SetBatch(batch)
+	return st, nil
+}
+
+// walkDelta decodes a delta image, passing each op in stream order to op
+// (when non-nil): a set with its key and value, or a tombstone (del true)
+// with its key. Keys and values alias data.
+func walkDelta(data []byte, op func(key string, val []byte, del bool)) (DeltaStats, error) {
 	var st DeltaStats
 	if len(data) < len(deltaMagic) {
 		return st, fmt.Errorf("%w: truncated header", ErrBadDelta)
@@ -302,7 +333,7 @@ func ApplyDeltaBytes(db *DB, data []byte) (DeltaStats, error) {
 			}
 			klen := int(binary.LittleEndian.Uint32(data[pos:]))
 			vlen := int(binary.LittleEndian.Uint32(data[pos+4:]))
-			if klen > 1<<24 || vlen > 1<<28 {
+			if klen > 1<<24 || klen+vlen > maxPair {
 				return st, fmt.Errorf("%w: implausible lengths", ErrBadDelta)
 			}
 			pos += 8
@@ -315,7 +346,9 @@ func ApplyDeltaBytes(db *DB, data []byte) (DeltaStats, error) {
 				val = nil
 			}
 			pos += klen + vlen
-			db.Set(key, val)
+			if op != nil {
+				op(key, val, false)
+			}
 			st.Sets++
 		case 'D':
 			if pos+4 > len(data) {
@@ -329,7 +362,9 @@ func ApplyDeltaBytes(db *DB, data []byte) (DeltaStats, error) {
 			if pos+klen > len(data) {
 				return st, fmt.Errorf("%w: truncated delete at op %d", ErrBadDelta, st.Sets+st.Deletes)
 			}
-			db.Delete(sdata[pos : pos+klen])
+			if op != nil {
+				op(sdata[pos:pos+klen], nil, true)
+			}
 			pos += klen
 			st.Deletes++
 		case 'E':

@@ -9,12 +9,12 @@ import (
 	"unsafe"
 )
 
-// zeroCopyString views data's bytes as a string without copying. Safe
-// only because LoadBytes owns its arena by contract (the caller hands it
-// over and nothing ever writes to it again); keys carved from the result
-// stay valid for the life of the database. This halves the memory and
-// skips a whole-arena copy on the recovery path, where restart latency is
-// the budget.
+// zeroCopyString views data's bytes as a string without copying. LoadBytes
+// owns its image by contract (the caller hands it over and nothing ever
+// writes to it again), so keys carved from it stay valid for as long as
+// the loaded leaves alias it; this skips a whole-image copy on the
+// recovery path, where restart latency is the budget. ApplyDeltaBytes
+// reads through it only while it runs: the store copies what it keeps.
 func zeroCopyString(data []byte) string {
 	if len(data) == 0 {
 		return ""
@@ -82,9 +82,11 @@ func Load(r io.Reader) (*DB, error) {
 
 // LoadBytes reads a snapshot image into a fresh database, taking
 // ownership of data: the caller must not modify it afterwards, because
-// loaded keys and values alias it rather than copying — the snapshot
-// arena becomes the database's storage. Save streams pairs in key order,
-// so loading builds the tree bottom-up along its right spine (see
+// the loaded leaves alias it rather than copying — each leaf's arena is
+// the stretch of the image that holds its pairs, so the snapshot becomes
+// the database's storage until a leaf is first mutated and packs its
+// pairs into an arena of its own. Save streams pairs in key order, so
+// loading builds the tree bottom-up along its right spine (see
 // bulkload.go): O(1) per pair, no descents, and every node but the
 // rightmost per level ends exactly full. A stream that violates the key
 // order (not something Save produces) falls back to ordinary insertion
@@ -101,7 +103,7 @@ func LoadBytes(data []byte) (*DB, error) {
 	sdata := zeroCopyString(data)
 	db := New()
 	var (
-		bl      bulkLoader
+		bl      = bulkLoader{src: data}
 		bulking = true
 		pos     int
 	)
@@ -111,7 +113,7 @@ func LoadBytes(data []byte) (*DB, error) {
 		}
 		klen := int(binary.LittleEndian.Uint32(data[pos:]))
 		vlen := int(binary.LittleEndian.Uint32(data[pos+4:]))
-		if klen > 1<<24 || vlen > 1<<28 {
+		if klen > 1<<24 || klen+vlen > maxPair {
 			return nil, fmt.Errorf("%w: implausible lengths", ErrBadSnapshot)
 		}
 		pos += 8
@@ -123,9 +125,10 @@ func LoadBytes(data []byte) (*DB, error) {
 		if vlen == 0 {
 			val = nil
 		}
+		at := pos
 		pos += klen + vlen
 		if bulking {
-			if bl.add(key, val) {
+			if bl.addAt(key, val, at) {
 				continue
 			}
 			bl.into(db) // out-of-order stream: finish the prefix, Set the rest

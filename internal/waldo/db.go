@@ -6,10 +6,13 @@
 package waldo
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -106,9 +109,11 @@ type DB struct {
 	kv *kvdb.DB // the live store behind reader.store, for the write paths
 
 	mu        sync.Mutex
-	seqs      map[pnode.Ref]map[record.Attr]int // per-version per-attr row sequence
-	keyBuf    []byte                            // scratch for key encoding, guarded by mu
-	kvBuf     []kvdb.KV                         // scratch batch, guarded by mu
+	seqs      map[seqKey]int // per-version per-attr row sequence
+	keyBuf    []byte         // scratch for a batch's keys, guarded by mu
+	valBuf    []byte         // scratch for a batch's values, guarded by mu
+	ends      []rowEnd       // scratch row boundaries, guarded by mu
+	kvBuf     []kvdb.KV      // scratch batch, guarded by mu
 	provBytes int64
 	idxBytes  int64
 	records   int64
@@ -124,6 +129,17 @@ type DB struct {
 	// comparing contents.
 	gen atomic.Int64
 }
+
+// seqKey names one attribute of one version: the unit whose rows are
+// numbered by a sequence.
+type seqKey struct {
+	ref  pnode.Ref
+	attr record.Attr
+}
+
+// rowEnd marks where one row of a batch ends in the batch's key and
+// value buffers.
+type rowEnd struct{ key, val int }
 
 // Gen returns the database generation: it increases every time a batch of
 // records is applied, and is otherwise stable. Two equal Gen readings
@@ -148,7 +164,7 @@ func NewDB() *DB {
 	return &DB{
 		reader: reader{store: kv},
 		kv:     kv,
-		seqs:   make(map[pnode.Ref]map[record.Attr]int),
+		seqs:   make(map[seqKey]int),
 	}
 }
 
@@ -161,9 +177,12 @@ func (db *DB) Apply(r record.Record) {
 
 // ApplyBatch stores a batch of provenance records and maintains the
 // indexes. This is Waldo's ingestion hot path: it takes the database lock
-// once for the whole batch, encodes every key into a shared buffer with
-// hand-rolled hex (no fmt on this path), and hands the store one sorted,
-// deduplicated run so the B-tree's amortized insertion applies.
+// once for the whole batch, encodes every key back to back into one
+// buffer with hand-rolled hex (no fmt on this path) and cuts the batch's
+// keys from a single string made of it, and hands the store one sorted,
+// deduplicated run so the B-tree's amortized insertion applies. The store
+// copies what it keeps, so the key string dies with the batch and the
+// value buffer is reused.
 func (db *DB) ApplyBatch(recs []record.Record) {
 	if len(recs) == 0 {
 		return
@@ -171,60 +190,55 @@ func (db *DB) ApplyBatch(recs []record.Record) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
-	kvs := db.kvBuf[:0]
-	buf := db.keyBuf
-	mk := func() string { return string(buf) }
+	keys, vals, ends := db.keyBuf[:0], db.valBuf[:0], db.ends[:0]
+	row := func() { ends = append(ends, rowEnd{len(keys), len(vals)}) }
 
 	for _, r := range recs {
-		attrSeqs, ok := db.seqs[r.Subject]
-		if !ok {
-			attrSeqs = make(map[record.Attr]int)
-			db.seqs[r.Subject] = attrSeqs
-		}
-		seq, have := attrSeqs[r.Attr]
+		sk := seqKey{r.Subject, r.Attr}
+		seq, have := db.seqs[sk]
 		if !have && db.lazySeqs {
 			// Checkpoint-recovered database: the next sequence for rows
 			// this process has not yet written is however many rows the
 			// snapshot already holds (a bounded prefix count, cached here).
-			buf = append(buf[:0], 'a', '|')
-			buf = appendRefKey(buf, r.Subject)
-			buf = append(buf, '|')
-			buf = append(buf, r.Attr...)
-			buf = append(buf, '|')
-			seq = db.kv.CountPrefix(mk())
+			prefix := append(keys, 'a', '|')
+			prefix = appendRefKey(prefix, r.Subject)
+			prefix = append(prefix, '|')
+			prefix = append(prefix, r.Attr...)
+			prefix = append(prefix, '|')
+			seq = db.kv.CountPrefix(string(prefix[len(keys):]))
 		}
-		attrSeqs[r.Attr] = seq + 1
+		db.seqs[sk] = seq + 1
 		db.records++
 
-		val := record.AppendValue(nil, r.Value)
-		buf = append(buf[:0], 'a', '|')
-		buf = appendRefKey(buf, r.Subject)
-		buf = append(buf, '|')
-		buf = append(buf, r.Attr...)
-		buf = append(buf, '|')
-		buf = appendHex32(buf, uint32(seq))
-		kvs = append(kvs, kvdb.KV{Key: mk(), Val: val})
+		keys = append(keys, 'a', '|')
+		keys = appendRefKey(keys, r.Subject)
+		keys = append(keys, '|')
+		keys = append(keys, r.Attr...)
+		keys = append(keys, '|')
+		keys = appendHex32(keys, uint32(seq))
+		vals = record.AppendValue(vals, r.Value)
+		row()
 
-		buf = append(buf[:0], 'v', '|')
-		buf = appendRefKey(buf, r.Subject)
-		kvs = append(kvs, kvdb.KV{Key: mk()})
+		keys = append(keys, 'v', '|')
+		keys = appendRefKey(keys, r.Subject)
+		row()
 
 		if dep, isRef := r.Value.AsRef(); isRef && r.Attr == record.AttrInput {
-			buf = append(buf[:0], 'i', '|')
-			buf = appendRefKey(buf, r.Subject)
-			buf = append(buf, '|')
-			buf = appendRefKey(buf, dep)
-			kvs = append(kvs, kvdb.KV{Key: mk()})
+			keys = append(keys, 'i', '|')
+			keys = appendRefKey(keys, r.Subject)
+			keys = append(keys, '|')
+			keys = appendRefKey(keys, dep)
+			row()
 
-			buf = append(buf[:0], 'r', '|')
-			buf = appendRefKey(buf, dep)
-			buf = append(buf, '|')
-			buf = appendRefKey(buf, r.Subject)
-			kvs = append(kvs, kvdb.KV{Key: mk()})
+			keys = append(keys, 'r', '|')
+			keys = appendRefKey(keys, dep)
+			keys = append(keys, '|')
+			keys = appendRefKey(keys, r.Subject)
+			row()
 
-			buf = append(buf[:0], 'v', '|')
-			buf = appendRefKey(buf, dep)
-			kvs = append(kvs, kvdb.KV{Key: mk()})
+			keys = append(keys, 'v', '|')
+			keys = appendRefKey(keys, dep)
+			row()
 		}
 		if s, isStr := r.Value.AsString(); isStr {
 			var label, rev byte
@@ -236,11 +250,11 @@ func (db *DB) ApplyBatch(recs []record.Record) {
 			default:
 				continue
 			}
-			buf = append(buf[:0], label, '|')
-			buf = append(buf, s...)
-			buf = append(buf, 0)
-			buf = appendHex64(buf, uint64(r.Subject.PNode))
-			kvs = append(kvs, kvdb.KV{Key: mk()})
+			keys = append(keys, label, '|')
+			keys = append(keys, s...)
+			keys = append(keys, 0)
+			keys = appendHex64(keys, uint64(r.Subject.PNode))
+			row()
 
 			// A legacy-snapshot database keeps answering NameOf/TypeOf
 			// from scans: seeding the reverse index here could shadow a
@@ -250,28 +264,52 @@ func (db *DB) ApplyBatch(recs []record.Record) {
 			}
 			// Reverse index: value carries <ver8x><seq8x> so the most
 			// recent record wins regardless of application order.
-			rv := make([]byte, 0, 16+len(s))
-			rv = appendHex32(rv, uint32(r.Subject.Version))
-			rv = appendHex32(rv, uint32(seq))
-			rv = append(rv, s...)
-			buf = append(buf[:0], rev, '|')
-			buf = appendHex64(buf, uint64(r.Subject.PNode))
-			k := mk()
-			if old, exists := db.kv.Get(k); exists && len(old) >= 16 && string(old[:16]) > string(rv[:16]) {
-				continue // a newer version's label is already indexed
-			}
-			kvs = append(kvs, kvdb.KV{Key: k, Val: rv})
+			keys = append(keys, rev, '|')
+			keys = appendHex64(keys, uint64(r.Subject.PNode))
+			vals = appendHex32(vals, uint32(r.Subject.Version))
+			vals = appendHex32(vals, uint32(seq))
+			vals = append(vals, s...)
+			row()
 		}
+	}
+
+	all := string(keys)
+	kvs := db.kvBuf[:0]
+	var (
+		k0, v0  int
+		oldLens map[string]int
+	)
+	for _, e := range ends {
+		kv := kvdb.KV{Key: all[k0:e.key]}
+		if e.val > v0 {
+			kv.Val = vals[v0:e.val:e.val]
+		}
+		k0, v0 = e.key, e.val
+		if c := kv.Key[0]; c == 'N' || c == 'T' {
+			if old, exists := db.kv.Get(kv.Key); exists {
+				if len(old) >= 16 && string(old[:16]) > string(kv.Val[:16]) {
+					continue // a newer version's label is already indexed
+				}
+				// Reverse-index rows are the only keys whose values get
+				// replaced; keep the outgoing length so idxBytes tracks
+				// the delta.
+				if oldLens == nil {
+					oldLens = make(map[string]int)
+				}
+				oldLens[kv.Key] = len(old)
+			}
+		}
+		kvs = append(kvs, kv)
 	}
 
 	// One sorted, deduplicated run into the store. For equal keys the
 	// greatest value wins: index keys carry nil values (all equal), and
 	// reverse-index values order by their <ver8x><seq8x> prefix.
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].Key != kvs[j].Key {
-			return kvs[i].Key < kvs[j].Key
+	slices.SortFunc(kvs, func(a, b kvdb.KV) int {
+		if c := strings.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return string(kvs[i].Val) < string(kvs[j].Val)
+		return bytes.Compare(a.Val, b.Val)
 	})
 	out := kvs[:0]
 	for i := range kvs {
@@ -279,19 +317,6 @@ func (db *DB) ApplyBatch(recs []record.Record) {
 			continue
 		}
 		out = append(out, kvs[i])
-	}
-	// Reverse-index rows are the only keys whose values get replaced;
-	// capture the outgoing lengths so idxBytes tracks the delta.
-	var oldLens map[int]int
-	for i := range out {
-		if c := out[i].Key[0]; c == 'N' || c == 'T' {
-			if old, ok := db.kv.Get(out[i].Key); ok {
-				if oldLens == nil {
-					oldLens = make(map[int]int)
-				}
-				oldLens[i] = len(old)
-			}
-		}
 	}
 	db.kv.SetBatch(out)
 
@@ -303,14 +328,15 @@ func (db *DB) ApplyBatch(recs []record.Record) {
 		case out[i].New:
 			db.idxBytes += int64(size)
 		default:
-			if oldLen, ok := oldLens[i]; ok {
+			if oldLen, ok := oldLens[out[i].Key]; ok {
 				db.idxBytes += int64(len(out[i].Val) - oldLen)
 			}
 		}
 	}
 
-	db.kvBuf = kvs[:0]
-	db.keyBuf = buf[:0]
+	// Drop the batch's references so its key string can be collected.
+	clear(kvs)
+	db.kvBuf, db.keyBuf, db.valBuf, db.ends = kvs[:0], keys[:0], vals[:0], ends[:0]
 	db.gen.Add(1)
 }
 
@@ -669,7 +695,7 @@ func Load(r io.Reader) (*DB, error) {
 	db := &DB{
 		reader: reader{store: kv},
 		kv:     kv,
-		seqs:   make(map[pnode.Ref]map[record.Attr]int),
+		seqs:   make(map[seqKey]int),
 	}
 	kv.AscendPrefix("a|", func(k string, v []byte) bool {
 		db.provBytes += int64(len(k) + len(v))
@@ -677,13 +703,7 @@ func Load(r io.Reader) (*DB, error) {
 		// a|pn|ver|attr|seq
 		body := k[2:]
 		if ref, ok := parseRef(body[:25]); ok && len(body) > 25+1+9 {
-			attr := record.Attr(body[26 : len(body)-9])
-			m := db.seqs[ref]
-			if m == nil {
-				m = make(map[record.Attr]int)
-				db.seqs[ref] = m
-			}
-			m[attr]++
+			db.seqs[seqKey{ref, record.Attr(body[26 : len(body)-9])}]++
 		}
 		return true
 	})
@@ -717,7 +737,8 @@ func LoadCheckpoint(data []byte, records, provBytes, idxBytes int64) (*DB, error
 // composition step of incremental checkpoint recovery. The counters come
 // from the newest generation's manifest, so they describe the database
 // after every delta has been applied. Like LoadCheckpoint, it takes
-// ownership of every buffer it is handed.
+// ownership of the full image, which the loaded store's leaves alias; the
+// delta images are copied in and free again once it returns.
 func LoadCheckpointChain(full []byte, deltas [][]byte, records, provBytes, idxBytes int64) (*DB, error) {
 	kv, err := kvdb.LoadBytes(full)
 	if err != nil {
@@ -731,7 +752,7 @@ func LoadCheckpointChain(full []byte, deltas [][]byte, records, provBytes, idxBy
 	db := &DB{
 		reader:    reader{store: kv},
 		kv:        kv,
-		seqs:      make(map[pnode.Ref]map[record.Attr]int),
+		seqs:      make(map[seqKey]int),
 		records:   records,
 		provBytes: provBytes,
 		idxBytes:  idxBytes,
